@@ -19,6 +19,7 @@ from repro.compilers.options import CompileOptions
 from repro.vm.compile import compile_program
 from repro.vm.errors import ExecutionResult
 from repro.vm.interpreter import DEFAULT_MAX_STEPS, Interpreter
+from repro.vm.tier import TierLedger, node_count, run_tiered
 
 
 @dataclass
@@ -26,7 +27,7 @@ class CompiledBinary:
     """A compiled program plus everything needed to execute it.
 
     Produced by ``SimulatedCompiler.compile``; ``run(max_steps=...)``
-    interprets the instrumented AST on the VM and returns an
+    executes the instrumented AST on the VM and returns an
     :class:`~repro.vm.errors.ExecutionResult` (exit code or sanitizer
     report plus execution trace).
     """
@@ -49,6 +50,9 @@ class CompiledBinary:
     closure_key: Optional[tuple] = field(default=None, repr=False,
                                          compare=False)
     _program: Optional[object] = field(default=None, repr=False, compare=False)
+    #: Private tier ledger of a binary compiled without a cache.
+    _tiers: Optional[TierLedger] = field(default=None, repr=False,
+                                         compare=False)
 
     @property
     def label(self) -> str:
@@ -87,22 +91,33 @@ class CompiledBinary:
 
         ``call_hook`` (if given) receives the name of every stubbed external
         call the execution reaches — the marker oracle's liveness probe.
-        ``vm`` selects the executor: ``"compiled"`` (the default) runs the
-        closure-compiled program, ``"interp"`` the AST-walking interpreter.
-        Both produce bit-identical results (the dual-executor property suite
-        pins this); the flag exists for differential debugging of the
-        executors themselves.
+        ``vm`` selects the executor: ``"compiled"`` (the default) is the
+        tiered policy of :mod:`repro.vm.tier` — the AST interpreter runs the
+        binary until its closure key has paid for a compile, the
+        closure-compiled program from then on — and ``"interp"`` is the
+        AST-walking reference interpreter alone.  Both produce bit-identical
+        results (the dual-executor property suite pins this).
         """
-        if vm == "compiled":
-            return self.compiled_program().run(
+        def interpret():
+            return Interpreter(self.unit, self.sema,
+                               runtime=self.build_runtime(),
+                               max_steps=max_steps,
+                               profile_collector=profile_collector,
+                               call_hook=call_hook).run()
+        if vm != "compiled":
+            return interpret()
+        if self.cache is not None and self.closure_key is not None:
+            ledger, key = self.cache.tiers, self.closure_key
+        else:
+            if self._tiers is None:
+                self._tiers = TierLedger(1)
+            ledger, key = self._tiers, None
+        return run_tiered(
+            ledger, key, interpret=interpret,
+            compiled=lambda: self.compiled_program().run(
                 runtime=self.build_runtime(), max_steps=max_steps,
-                profile_collector=profile_collector, call_hook=call_hook)
-        interpreter = Interpreter(self.unit, self.sema,
-                                  runtime=self.build_runtime(),
-                                  max_steps=max_steps,
-                                  profile_collector=profile_collector,
-                                  call_hook=call_hook)
-        return interpreter.run()
+                profile_collector=profile_collector, call_hook=call_hook),
+            nodes=lambda: node_count(self.unit))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<CompiledBinary {self.label}>"

@@ -34,6 +34,7 @@ from typing import Callable, Optional, Tuple
 
 from repro.cdsl import ast_nodes as ast
 from repro.telemetry import runtime as telemetry
+from repro.vm.tier import TierLedger
 
 logger = logging.getLogger(__name__)
 
@@ -87,6 +88,12 @@ class CompilationCache:
         self._frontend = _LRU(max_entries)
         self._optimized = _LRU(max_entries)
         self._closure = _LRU(max_entries)
+        #: Interpreted steps per closure key (see :mod:`repro.vm.tier`):
+        #: decides when a key has paid for its :meth:`closure` compile.
+        #: An entry is a key and two integers, so the ledger remembers more
+        #: keys than the closure layer holds programs; an evicted key
+        #: starts its count over.
+        self.tiers = TierLedger(8 * max_entries)
         self.hits = 0
         self.misses = 0
 
@@ -204,5 +211,6 @@ class CompilationCache:
             self._frontend = _LRU(self._frontend.max_entries)
             self._optimized = _LRU(self._optimized.max_entries)
             self._closure = _LRU(self._closure.max_entries)
+            self.tiers.clear()
             self.hits = 0
             self.misses = 0

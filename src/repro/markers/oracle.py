@@ -35,6 +35,7 @@ from repro.optim.pipelines import effective_pass_names
 from repro.telemetry import runtime as telemetry
 from repro.vm.compile import compile_program
 from repro.vm.interpreter import run_program
+from repro.vm.tier import node_count, run_tiered
 
 DEFAULT_MAX_STEPS = 150_000
 
@@ -78,10 +79,10 @@ class EliminationOracle:
                  vm: str = "compiled") -> None:
         self.cache = cache if cache is not None else CompilationCache()
         self.max_steps = max_steps
-        #: Liveness executor: ``"compiled"`` runs the closure-compiled
-        #: program (cached per source through the closure layer, so a
-        #: reduction screen's repeated probes pay compilation once),
-        #: ``"interp"`` the AST interpreter.
+        #: Liveness executor: ``"compiled"`` is the tiered policy of
+        #: :mod:`repro.vm.tier` (a source is interpreted until its probes
+        #: have paid for a closure compile, which the closure layer then
+        #: caches per source), ``"interp"`` the AST interpreter alone.
         self.vm = vm
         self._compilers: Dict[Tuple[str, int], SimulatedCompiler] = {}
 
@@ -114,20 +115,29 @@ class EliminationOracle:
         reached: List[str] = []
         hook = (lambda name: reached.append(name)
                 if name.startswith(marked.prefix) else None)
+
+        def unit_and_sema():
+            nonlocal analyzed
+            if analyzed is None:
+                analyzed = self.analyzed_unit(marked.source)
+            return analyzed
+
+        def interpret():
+            unit, sema = unit_and_sema()
+            return run_program(unit, sema, max_steps=self.max_steps,
+                               call_hook=hook)
+
         with telemetry.stage("oracle", kind="liveness"):
             if self.vm == "compiled":
-                def build():
-                    unit, sema = analyzed if analyzed is not None \
-                        else self.analyzed_unit(marked.source)
-                    return compile_program(unit, sema)
-                program = self.cache.closure(
-                    ("liveness", source_fingerprint(marked.source)), build)
-                program.run(max_steps=self.max_steps, call_hook=hook)
+                key = ("liveness", source_fingerprint(marked.source))
+                run_tiered(
+                    self.cache.tiers, key, interpret=interpret,
+                    compiled=lambda: self.cache.closure(
+                        key, lambda: compile_program(*unit_and_sema())).run(
+                            max_steps=self.max_steps, call_hook=hook),
+                    nodes=lambda: node_count(unit_and_sema()[0]))
             else:
-                unit, sema = analyzed if analyzed is not None \
-                    else self.analyzed_unit(marked.source)
-                run_program(unit, sema, max_steps=self.max_steps,
-                            call_hook=hook)
+                interpret()
         return tuple(reached)
 
     def live_set(self, marked: MarkedProgram) -> frozenset:

@@ -30,6 +30,7 @@ from repro.core.fuzzer import CampaignConfig
 from repro.core.ub_types import ALL_UB_TYPES, UBType
 from repro.orchestrator.campaign import OrchestratedCampaign
 from repro.telemetry import configure_logging
+from repro.vm.tier import TIER_UP_STEPS_PER_NODE
 
 logger = logging.getLogger(__name__)
 #: Progress/status lines (per-seed throughput, reduction notices) stream
@@ -74,10 +75,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="skip defect triage (candidates only, faster)")
     parser.add_argument("--vm", choices=("compiled", "interp"),
                         default="compiled",
-                        help="VM executor: closure-compiled bytecode with "
-                             "batched deduplication (compiled, the default) "
-                             "or the AST-walking interpreter (interp); "
-                             "results are bit-identical")
+                        help="VM executor: tiered (compiled, the "
+                             "default: interpret a binary until the runs "
+                             "of its configuration total "
+                             f"{TIER_UP_STEPS_PER_NODE} steps per AST node "
+                             "of its unit, then run its closure-compiled "
+                             "bytecode; batched runs are "
+                             "deduplicated) or the AST-walking reference "
+                             "interpreter alone (interp); results are "
+                             "bit-identical")
     parser.add_argument("--reduce", action="store_true",
                         help="reduce one representative crash per dedup "
                              "bucket to a minimal reproducer (written to "
@@ -287,8 +293,10 @@ def build_bisect_parser() -> argparse.ArgumentParser:
                         help="bisect and print, but record nothing")
     parser.add_argument("--vm", choices=("interp", "compiled"),
                         default="compiled",
-                        help="execution backend for crash probes "
-                             "(default: compiled)")
+                        help="execution backend for crash probes: "
+                             "tiered interpreter-then-closure-compiled "
+                             "(compiled, the default) or the reference "
+                             "interpreter alone (interp)")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="machine-readable output")
     return parser
@@ -747,6 +755,11 @@ def _stats_main(argv: List[str]) -> int:
     if counters.get("vm.runs"):
         print(f"vm                    : {counters['vm.runs']} runs, "
               f"{counters.get('vm.steps', 0)} steps")
+    interpreted = counters.get("vm.tier.interpreted", 0)
+    promoted = counters.get("vm.tier.promoted", 0)
+    if interpreted or promoted:
+        print(f"vm tiers              : {interpreted} interpreted, "
+              f"{promoted} promoted to compiled")
     return 0
 
 

@@ -1,5 +1,5 @@
 """The execution substrate: flat memory, interpreter, tracing, profiling,
-closure-bytecode compilation and batched execution."""
+closure-bytecode compilation, tiered and batched execution."""
 
 from repro.vm.batch import BatchStats, run_binaries, run_many
 from repro.vm.compile import CompiledProgram, compile_program, run_compiled

@@ -4,9 +4,11 @@ A differential matrix runs one program under many configurations, and a
 reduction screen runs many candidate programs under the same few.  Executing
 the batch together instead of one binary at a time buys two amortizations:
 
-* **closure compilation** happens once per (program, effective pipeline
-  signature) through the :class:`~repro.compilers.cache.CompilationCache`
-  closure layer each binary carries (``CompiledBinary.compiled_program``);
+* **closure compilation**, for the keys whose interpreted runs have paid
+  for it (:mod:`repro.vm.tier`), happens once per (program, effective
+  pipeline signature) through the
+  :class:`~repro.compilers.cache.CompilationCache` closure layer each binary
+  carries (``CompiledBinary.compiled_program``);
 * **identical executions collapse**: the VM is deterministic, so two
   configurations whose instrumented unit *content* and sanitizer runtime
   construction are identical must produce bit-identical

@@ -649,7 +649,7 @@ class _Compiler:
                     slots[uid] = obj
                     writer(st, obj.base, args[i] if i < nargs else _ZERO)
             code.param_setup = param_setup
-        fc = _FnCompiler(self)
+        fc = _FnCompiler(self, fn.return_type)
         fc.compile_stmt(fn.body)
         fc.flush()
         fc.end.pc = len(fc.ops)
@@ -2155,8 +2155,11 @@ class _FnCompiler:
     #: step budget (the whole region falls back when either lands inside it).
     MAX_REGION_TICKS = 64
 
-    def __init__(self, compiler: _Compiler):
+    def __init__(self, compiler: _Compiler, return_type):
         self.c = compiler
+        # ``return`` converts to the declared return type, as if by
+        # assignment (C11 6.8.6.4p3).
+        self.ret_co = _make_coercer(return_type)
         self.ops: List[Callable] = []
         self.depth = 0          # scopes currently open in this function
         self.loops: List[tuple] = []   # (break_label, continue_label, depth)
@@ -2557,6 +2560,7 @@ class _FnCompiler:
         k = self.depth
         end = self.end
         if stmt.value is not None:
+            ret_co = self.ret_co
             ev = self.c.compile_expr(stmt.value)
             if self.fbuf_ticks >= self.MAX_REGION_TICKS:
                 self.flush()
@@ -2564,13 +2568,13 @@ class _FnCompiler:
             if fused is not None:
                 vwork, ticks = fused
                 def work(st):
-                    value = vwork(st)
+                    value = ret_co(vwork(st))
                     for _ in range(k):
                         _exit_scope(st)
                     st.retval = value
                 def slow_body(st):
                     _tick(st, site)
-                    value = ev(st)
+                    value = ret_co(ev(st))
                     for _ in range(k):
                         _exit_scope(st)
                     st.retval = value
@@ -2580,7 +2584,7 @@ class _FnCompiler:
             self.flush()
             def op(st):
                 _tick(st, site)
-                value = ev(st)
+                value = ret_co(ev(st))
                 for _ in range(k):
                     _exit_scope(st)
                 st.retval = value

@@ -292,7 +292,12 @@ class Interpreter:
                 continue
 
     def _exec_ReturnStmt(self, stmt: ast.ReturnStmt) -> None:
-        value = self._eval(stmt.value) if stmt.value is not None else None
+        value = None
+        if stmt.value is not None:
+            # ``return`` converts to the declared return type, as if by
+            # assignment (C11 6.8.6.4p3).
+            value = coerce(self._eval(stmt.value),
+                           self.frame.function.return_type)
         raise ReturnSignal(value)
 
     def _exec_BreakStmt(self, stmt: ast.BreakStmt) -> None:

@@ -15,7 +15,10 @@ pipelines:
   fire at the same points in the same order;
 * **partial runs** agree: a tiny step budget times both executors out at
   the same step with the same partial trace and stdout, and a tiny trace
-  cap truncates both traces identically.
+  cap truncates both traces identically;
+* the **tiered** ``vm="compiled"`` policy is invisible: one closure key
+  run again and again across its promotion boundary gives the interpreter's
+  result on every run.
 
 Under CI the derandomized hypothesis profile (tests/conftest.py) replays a
 fixed example corpus, keeping tier-1 deterministic.
@@ -33,7 +36,9 @@ from repro.core import UBGenerator
 from repro.core.ub_types import ALL_UB_TYPES
 from repro.markers import MarkerPlanter
 from repro.seedgen import CsmithGenerator, GeneratorConfig
+from repro.telemetry import runtime as telemetry
 from repro.vm import Interpreter, compile_program
+from repro.vm.tier import TIER_UP_STEPS_PER_NODE, node_count
 
 MAX_STEPS = 150_000
 
@@ -52,8 +57,12 @@ _CONFIGS = {
 
 
 def _assert_identical(binary, label, max_steps=MAX_STEPS):
-    """Both executors of one binary produce field-identical results."""
-    compiled = binary.run(max_steps=max_steps, vm="compiled")
+    """Both executors of one binary produce field-identical results.
+
+    The closure program is driven explicitly: ``vm="compiled"`` is tiered
+    and would interpret a binary's first runs."""
+    compiled = binary.compiled_program().run(
+        runtime=binary.build_runtime(), max_steps=max_steps)
     interp = binary.run(max_steps=max_steps, vm="interp")
     assert compiled == interp, label
     return compiled
@@ -183,3 +192,39 @@ def test_tiny_budgets_timeout_and_truncate_identically(data):
     obs = _run_with_hooks(True, unit, sema, None, max_steps, max_trace_len)
     assert obs == ref, f"seed {seed_index} max_steps={max_steps} " \
                        f"max_trace_len={max_trace_len}"
+
+
+# -- tiered execution across the promotion boundary ---------------------------
+
+
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_tiered_runs_identical_across_promotion_boundary(data):
+    """Sibling binaries of one closure key, run until the key is promoted
+    to the compiled executor and beyond, each give the interpreter's
+    result."""
+    seed_index = data.draw(st.integers(min_value=0, max_value=20),
+                           label="seed_index")
+    sanitizer, opt_level = data.draw(st.sampled_from(_CONFIGS["llvm"]),
+                                     label="config")
+    seed = _generator.generate(seed_index)
+    compiler = make_compiler("llvm", cache=CompilationCache())
+    siblings = [compiler.compile(seed.source, opt_level=opt_level,
+                                 sanitizer=sanitizer) for _ in range(2)]
+    assert siblings[0].closure_key == siblings[1].closure_key
+    reference = siblings[0].run(max_steps=MAX_STEPS, vm="interp")
+    assert reference.steps > 0
+    # Runs the key interprets before its steps pay for the compile.
+    paid_after = -(-TIER_UP_STEPS_PER_NODE * node_count(siblings[0].unit)
+                   // reference.steps)
+    telemetry.enable(campaign="tier-boundary")
+    try:
+        for run in range(paid_after + 2):
+            result = siblings[run % 2].run(max_steps=MAX_STEPS)
+            assert result == reference, f"run {run} of seed {seed_index}"
+        totals = telemetry.current().metrics.deterministic_totals()
+    finally:
+        telemetry.disable()
+    assert totals["vm.tier.interpreted"] == paid_after
+    assert totals["vm.tier.promoted"] == 2
+    assert compiler.cache.stats()["closure_entries"] == 1

@@ -61,6 +61,19 @@ def test_parallel_merge_equals_serial_totals(traced_runs):
         assert serial[key] > 0, key
 
 
+def test_tier_decisions_identical_serial_and_parallel(traced_runs):
+    # Tier decisions count steps and nodes, never wall time, so a
+    # two-worker pool promotes exactly the runs a serial campaign does.
+    serial = _totals(traced_runs["serial"][0])
+    parallel = _totals(traced_runs["parallel"][0])
+    tiers = ("vm.tier.interpreted", "vm.tier.promoted")
+    assert ({key: serial.get(key, 0) for key in tiers}
+            == {key: parallel.get(key, 0) for key in tiers})
+    assert serial["vm.tier.interpreted"] > 0
+    assert (serial["vm.tier.interpreted"] + serial.get("vm.tier.promoted", 0)
+            <= serial["vm.runs"])
+
+
 def test_trace_file_structure(traced_runs):
     root, _ = traced_runs["serial"]
     trace_path, metrics_path = telemetry_paths(root)
@@ -111,6 +124,7 @@ def test_stats_cli_renders_profile(traced_runs, capsys):
     assert "generate" in out and "execute" in out
     assert "compilation cache" in out
     assert "vm" in out
+    assert "vm tiers" in out and "interpreted" in out
 
     assert cli_main(["stats", root, "--json"]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -6,8 +6,11 @@ and mined campaign crash must behave **byte-identically** whichever
 executor runs it.  This suite pins that:
 
 * every gallery figure entry produces a field-identical
-  :class:`~repro.vm.errors.ExecutionResult` under ``vm="compiled"`` and
-  ``vm="interp"`` — same detection, same miss, same report, same trace;
+  :class:`~repro.vm.errors.ExecutionResult` under the closure-compiled
+  program and ``vm="interp"`` — same detection, same miss, same report,
+  same trace.  ``vm="compiled"`` is tiered (it interprets a binary until
+  its closure key has paid for a compile), so these tests drive the
+  closure program explicitly through :func:`_run_compiled`;
 * the batched executor (:func:`repro.vm.batch.run_binaries`) returns the
   same results with and without execution deduplication, and the same as
   one-at-a-time ``binary.run`` — the serial ≡ batched bit-identity;
@@ -32,6 +35,7 @@ from repro.markers import MarkerPlanter
 from repro.markers.oracle import EliminationOracle
 from repro.reduction import HierarchicalReducer, make_fn_bug_predicate
 from repro.vm.batch import BatchStats, run_binaries
+from repro.vm.interpreter import DEFAULT_MAX_STEPS
 
 EXAMPLES_DIR = str(Path(__file__).resolve().parents[2] / "examples")
 if EXAMPLES_DIR not in sys.path:
@@ -47,6 +51,12 @@ def _build(config, source):
                             sanitizer=config.sanitizer)
 
 
+def _run_compiled(binary, max_steps=DEFAULT_MAX_STEPS):
+    """One run of *binary*'s closure-compiled program, never interpreted."""
+    return binary.compiled_program().run(runtime=binary.build_runtime(),
+                                         max_steps=max_steps)
+
+
 # -- figure entries -----------------------------------------------------------
 
 
@@ -57,12 +67,12 @@ def test_figure_entries_are_identical_under_both_executors(entry):
     title, source, ub_type, detecting, missing = entry
     for config in (detecting, missing):
         binary = _build(config, source)
-        compiled = binary.run(vm="compiled")
+        compiled = _run_compiled(binary)
         interp = binary.run(vm="interp")
         assert compiled == interp, f"{title} under {config.label}"
     # The headline FN discrepancy itself survives the compiled executor.
-    assert _build(detecting, source).run(vm="compiled").crashed, title
-    assert _build(missing, source).run(vm="compiled").exited_normally, title
+    assert _run_compiled(_build(detecting, source)).crashed, title
+    assert _run_compiled(_build(missing, source)).exited_normally, title
 
 
 # -- batched execution bit-identity -------------------------------------------
@@ -88,11 +98,17 @@ def test_run_binaries_dedup_is_bit_identical_to_serial_runs():
 def test_differential_tester_outcomes_match_across_vms():
     source = fn_bug_gallery.GALLERY[0][1]
     program = UBProgram(source=source, ub_type=fn_bug_gallery.GALLERY[0][2])
-    compiled = DifferentialTester(vm="compiled").test(program)
+    compiled_tester = DifferentialTester(vm="compiled")
+    tiered = compiled_tester.test(program)
     interp = DifferentialTester(vm="interp").test(program)
-    assert [o.result for o in compiled.outcomes] == \
+    assert [o.result for o in tiered.outcomes] == \
         [o.result for o in interp.outcomes]
-    assert len(compiled.fn_candidates) == len(interp.fn_candidates)
+    assert len(tiered.fn_candidates) == len(interp.fn_candidates)
+    # And every cell's closure-compiled program agrees with the interpreter.
+    for outcome in interp.outcomes:
+        binary, _ = compiled_tester.compile_config(program, outcome.config)
+        assert _run_compiled(binary, compiled_tester.max_steps) == \
+            outcome.result, outcome.config.label
 
 
 # -- seeded marker defect windows ---------------------------------------------
@@ -115,10 +131,16 @@ def test_marker_window_liveness_is_identical_across_vms(source):
     planter = MarkerPlanter()
     marked = planter.plant(source, seed_index=0)
     compiled_oracle = EliminationOracle(vm="compiled")
-    interp_oracle = EliminationOracle(vm="interp")
-    assert compiled_oracle.liveness(marked) == interp_oracle.liveness(marked)
-    # And a second compiled probe (served by the closure cache) agrees too.
-    assert compiled_oracle.liveness(marked) == interp_oracle.liveness(marked)
+    expected = EliminationOracle(vm="interp").liveness(marked)
+    # The compiled oracle interprets until the source has paid for its
+    # closure compile; probe across the promotion and once more from the
+    # closure cache.
+    probes = 0
+    while not compiled_oracle.cache.stats()["closure_entries"]:
+        assert compiled_oracle.liveness(marked) == expected
+        probes += 1
+        assert probes <= 500, "liveness source never promoted"
+    assert compiled_oracle.liveness(marked) == expected
 
 
 # -- the mined campaign crash set and --reduce (tier-2) ------------------------
@@ -134,9 +156,10 @@ def test_campaign_crash_set_outcomes_identical_across_vms():
                                        vm="interp")
     for title, program, detecting, missing in crashes:
         for config in (detecting, missing):
-            a = compiled_tester.run_config(program, config)
+            binary, _ = compiled_tester.compile_config(program, config)
+            a = _run_compiled(binary, compiled_tester.max_steps)
             b = interp_tester.run_config(program, config)
-            assert a.result == b.result, f"{title} under {config.label}"
+            assert a == b.result, f"{title} under {config.label}"
 
 
 @pytest.mark.slow

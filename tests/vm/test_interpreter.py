@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cdsl import analyze, parse_program
-from repro.vm import Interpreter, run_program
+from repro.vm import Interpreter, compile_program, run_program
 from repro.vm.errors import ExecutionResult
 
 
@@ -176,6 +176,25 @@ int low_byte(unsigned char c) { return c; }
 int main() { return low_byte(300); }
 """
     assert exit_code(source) == 300 % 256
+
+
+def test_return_value_converts_to_declared_return_type():
+    # Host gcc 12 -O0 gives g == -1: the unsigned 4294967295 converts to
+    # int on return (C11 6.8.6.4p3), then sign-extends into the long.
+    source = """
+int f(void) { unsigned int u = 4294967295; return u; }
+unsigned char narrow(int x) { return x; }
+int main() {
+  long g = f();
+  if (g != -1) return 2;
+  if (narrow(300) != 44) return 3;
+  return 1;
+}
+"""
+    assert exit_code(source) == 1
+    unit = parse_program(source)
+    compiled = compile_program(unit, analyze(unit)).run()
+    assert compiled.status == "ok" and compiled.exit_code == 1
 
 
 def test_malloc_free_and_heap_access():
