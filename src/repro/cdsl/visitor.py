@@ -24,10 +24,21 @@ N = TypeVar("N", bound=ast.Node)
 
 
 def walk(node: ast.Node) -> Iterator[ast.Node]:
-    """Yield *node* and all of its descendants in preorder."""
+    """Yield *node* and all of its descendants in preorder.
+
+    Iterative over a stack of ``children()`` iterators, so a yield costs
+    O(1) at any depth.  Children are read as lazily as a recursive walk
+    reads them, so a caller may rewrite the fields of a node it was handed.
+    """
     yield node
-    for child in node.children():
-        yield from walk(child)
+    stack = [node.children()]
+    while stack:
+        for child in stack[-1]:
+            yield child
+            stack.append(child.children())
+            break
+        else:
+            stack.pop()
 
 
 def find_nodes(root: ast.Node, node_type: Type[N],
@@ -205,9 +216,16 @@ def insert_before(root: ast.Node, anchor_stmt: ast.Stmt,
     return False
 
 
-def enclosing_statement(root: ast.Node, expr: ast.Expr) -> Optional[ast.Stmt]:
-    """Return the innermost statement that contains *expr* (by identity)."""
-    parents = parent_map(root)
+def enclosing_statement(root: ast.Node, expr: ast.Expr,
+                        parents: Optional[Dict[int, ast.Node]] = None
+                        ) -> Optional[ast.Stmt]:
+    """Return the innermost statement that contains *expr* (by identity).
+
+    *parents* is ``parent_map(root)``; pass it when asking about many
+    expressions of one tree, so the map is built once.
+    """
+    if parents is None:
+        parents = parent_map(root)
     node: ast.Node = expr
     while node.node_id in parents:
         node = parents[node.node_id]

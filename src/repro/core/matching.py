@@ -14,7 +14,7 @@ from typing import List, Optional
 
 from repro.cdsl import ast_nodes as ast
 from repro.cdsl import ctypes_ as ct
-from repro.cdsl.visitor import enclosing_statement, walk
+from repro.cdsl.visitor import enclosing_statement, parent_map, walk
 from repro.core.ub_types import UBType
 
 
@@ -42,11 +42,14 @@ def get_matched_exprs(unit: ast.TranslationUnit, ub_type: UBType) -> List[Matche
     for fn in unit.functions:
         if fn.body is None:
             continue
+        parents = None
         for node in walk(fn.body):
             operands = _match_node(node, ub_type)
             if operands is None:
                 continue
-            stmt = enclosing_statement(fn.body, node)
+            if parents is None:
+                parents = parent_map(fn.body)
+            stmt = enclosing_statement(fn.body, node, parents)
             matches.append(MatchedExpr(ub_type=ub_type, expr=node, function=fn,
                                        stmt=stmt, operands=operands))
         if ub_type == UBType.USE_OF_UNINIT_MEMORY:

@@ -18,11 +18,12 @@ One profiling run serves every UB type (the paper's implementation note:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from functools import cached_property
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.cdsl import ast_nodes as ast
 from repro.cdsl.sema import analyze
-from repro.cdsl.visitor import clone, replace_node, walk
+from repro.cdsl.visitor import fast_clone, walk
 from repro.core.matching import MatchedExpr
 from repro.utils.errors import ProfilingError
 from repro.vm.errors import ExecutionResult
@@ -67,11 +68,14 @@ class ExecutionProfile:
         """Index of the first execution of *stmt* in the run, or None."""
         if not stmt.loc.is_known:
             return None
-        site = stmt.loc.site()
-        for i, executed in enumerate(self.result.site_trace):
-            if executed == site:
-                return i
-        return None
+        return self._first_execution.get(stmt.loc.site())
+
+    @cached_property
+    def _first_execution(self) -> Dict[tuple, int]:
+        """Site -> index of its first occurrence in the site trace."""
+        trace = self.result.site_trace
+        # Later (smaller) indices overwrite earlier ones: the first wins.
+        return dict(zip(reversed(trace), range(len(trace) - 1, -1, -1)))
 
     # -- helpers --------------------------------------------------------------------
 
@@ -94,12 +98,18 @@ class Profiler:
 
         The unit is cloned before instrumentation, so the caller's AST is
         untouched; node ids are preserved by the clone, which is how hooks
-        attached in the clone map back to the caller's matches.
+        attached in the clone map back to the caller's matches.  Every hook
+        is swapped in through a slot index built once over the clone, so
+        instrumenting is linear in the program size plus the hook count.
         """
         matches = list(matches)
-        instrumented = clone(unit)
+        instrumented = fast_clone(unit)
         hooked_keys: Dict[str, List[str]] = {}
-        by_id = {node.node_id: node for node in walk(instrumented)}
+        by_id: Dict[int, ast.Node] = {}
+        slots: Dict[int, _Slot] = {}
+        for node in walk(instrumented):
+            by_id[node.node_id] = node
+            _index_children(node, slots)
 
         for match in matches:
             keys: List[str] = []
@@ -109,11 +119,16 @@ class Profiler:
                 target = by_id.get(operand.node_id)
                 if target is None:
                     continue
+                slot = slots.get(id(target))
+                if slot is None:
+                    continue
                 key = f"{match.key}:{role}"
                 hook = ast.ProfileHook(key, target, loc=target.loc)
-                if replace_node(instrumented, target, hook):
-                    by_id[operand.node_id] = hook
-                    keys.append(key)
+                _swap_in(slot, hook)
+                slots[id(hook)] = slot
+                slots[id(target)] = (hook, "inner", None)
+                by_id[operand.node_id] = hook
+                keys.append(key)
             hooked_keys[match.key] = keys
 
         try:
@@ -129,3 +144,27 @@ class Profiler:
             raise ProfilingError(f"profiling run failed: {result.error}")
         return ExecutionProfile(collector=collector, result=result,
                                 hooked_keys=hooked_keys)
+
+
+#: Where a node sits in its parent: (parent, field name, list index or None).
+_Slot = Tuple[ast.Node, str, Optional[int]]
+
+
+def _index_children(node: ast.Node, slots: Dict[int, _Slot]) -> None:
+    """Record the slot of every direct child of *node*, keyed by ``id``."""
+    for field_name in node._fields:
+        value = getattr(node, field_name, None)
+        if isinstance(value, ast.Node):
+            slots[id(value)] = (node, field_name, None)
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                if isinstance(item, ast.Node):
+                    slots[id(item)] = (node, field_name, i)
+
+
+def _swap_in(slot: _Slot, replacement: ast.Node) -> None:
+    parent, field_name, index = slot
+    if index is None:
+        setattr(parent, field_name, replacement)
+    else:
+        getattr(parent, field_name)[index] = replacement

@@ -11,7 +11,7 @@ instantiation column of Table 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cdsl import ast_nodes as ast
 from repro.cdsl import ctypes_ as ct
@@ -171,11 +171,15 @@ def _synth_use_after_scope(match: MatchedExpr, profile: ExecutionProfile,
     if anchor_order is None:
         return None
 
+    blocks, parents = _blocks_and_parents(body)
+    enclosing = set()  # ids of match.stmt and every node above it
+    node = match.stmt
+    while node is not None:
+        enclosing.add(id(node))
+        node = parents.get(id(node))
     candidates = []
-    for block in walk(body):
-        if not isinstance(block, ast.CompoundStmt) or block is body:
-            continue
-        if match.stmt is not None and any(n is match.stmt for n in walk(block)):
+    for block in blocks:
+        if block is body or id(block) in enclosing:
             continue  # the block encloses the dereference: not out of scope
         for stmt in block.stmts:
             if not isinstance(stmt, ast.DeclStmt):
@@ -213,6 +217,20 @@ def _synth_use_after_scope(match: MatchedExpr, profile: ExecutionProfile,
         description=(f"{pointer.name} = &{aux}[0] "
                      f"({target_type} [{length}] in the scope of {decl.name})"),
         append_to_block=(block.node_id, [shadow_decl, assign]))
+
+
+def _blocks_and_parents(body: ast.CompoundStmt
+                        ) -> Tuple[List[ast.CompoundStmt], Dict[int, ast.Node]]:
+    """The compound statements under *body* in preorder, and each node's
+    parent keyed by ``id`` — both from one walk."""
+    blocks: List[ast.CompoundStmt] = []
+    parents: Dict[int, ast.Node] = {}
+    for node in walk(body):
+        if isinstance(node, ast.CompoundStmt):
+            blocks.append(node)
+        for child in node.children():
+            parents[id(child)] = node
+    return blocks, parents
 
 
 def _synth_null_deref(match: MatchedExpr, profile: ExecutionProfile,
