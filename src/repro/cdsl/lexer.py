@@ -1,4 +1,4 @@
-"""A hand-written lexer for the C subset.
+"""The lexer for the C subset: one compiled regular expression.
 
 The lexer tracks 1-based line and column numbers for every token; those
 positions become the ``(line, offset)`` sites that debug information and the
@@ -7,6 +7,7 @@ crash-site mapping oracle work with.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import List
 
@@ -43,131 +44,111 @@ class Token:
         return f"{self.kind}({self.text!r})@{self.line}:{self.col}"
 
 
+# One alternative per token class, tried in order at each position.  Comment
+# forms come before the operators so "/" starts a comment where one fits;
+# every other class is told apart by its first character.  ``\w`` is
+# exactly ``str.isalnum()`` plus "_"; an identifier's first character must
+# also be a letter (see Lexer.tokenize for the non-letter numerics ``\w``
+# admits).
+_TOKEN_RE = re.compile(r"""
+    (?P<space>[ \t\r\n]+)
+  | (?P<comment>//[^\n]*|\#[^\n]*|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)
+  | (?P<open_comment>/\*)
+  | (?P<ident>[^\W\d]\w*)
+  | (?P<hex>0[xX][0-9a-fA-F]*[uUlL]*)
+  | (?P<number>\d+[uUlL]*)
+  | (?P<string>"[^"\\]*(?:\\.[^"\\]*)*")
+  | (?P<open_string>")
+  | (?P<char>'[^'\\]*(?:\\.[^'\\]*)*')
+  | (?P<open_char>')
+  | (?P<op>""" + "|".join(re.escape(op) for op in _OPERATORS) + r""")
+  | (?P<other>.)
+""", re.VERBOSE | re.DOTALL)
+
+
 class Lexer:
-    """Tokenize C-subset source text."""
+    """Tokenize C-subset source text with one compiled regular expression."""
 
     def __init__(self, source: str) -> None:
         self.source = source
-        self.pos = 0
-        self.line = 1
-        self.col = 1
 
     def tokenize(self) -> List[Token]:
+        source = self.source
+        end = len(source)
         tokens: List[Token] = []
-        while True:
-            tok = self._next_token()
-            tokens.append(tok)
-            if tok.is_eof:
-                return tokens
-
-    # -- internals ---------------------------------------------------------
-
-    def _peek(self, offset: int = 0) -> str:
-        idx = self.pos + offset
-        return self.source[idx] if idx < len(self.source) else ""
-
-    def _advance(self, count: int = 1) -> str:
-        text = self.source[self.pos:self.pos + count]
-        for ch in text:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += count
-        return text
-
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self.pos < len(self.source):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
+        append = tokens.append
+        match = _TOKEN_RE.match
+        pos = 0
+        line = 1
+        line_start = 0  # offset of the first character of the current line
+        while pos < end:
+            m = match(source, pos)
+            kind = m.lastgroup
+            text = m.group()
+            col = pos - line_start + 1
+            if kind == "ident":
+                first = text[0]
+                if first > "\x7f" and not first.isalpha():
+                    # A numeric character that is not a letter ("²", "½"):
+                    # a digit starts a number, anything else is invalid.
+                    if not first.isdigit():
+                        raise LexError(f"unexpected character {first!r}", line, col)
+                    text = source[pos:_decimal_end(source, pos)]
+                    append(Token("number", text, line, col))
                 else:
-                    raise LexError("unterminated block comment", self.line, self.col)
-            elif ch == "#":
-                # Preprocessor-style lines (e.g. "#include") are skipped whole;
-                # generated programs do not rely on the preprocessor.
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
+                    append(Token("keyword" if text in KEYWORDS else "ident",
+                                 text, line, col))
+            elif kind == "op":
+                append(Token("op", text, line, col))
+            elif kind == "space" or kind == "comment":
+                newlines = text.count("\n")
+                if newlines:
+                    line += newlines
+                    line_start = pos + text.rindex("\n") + 1
+            elif kind == "number":
+                stop = m.end()
+                if (stop < end and source[stop] > "\x7f"
+                        and text[-1] not in "uUlL" and source[stop].isdigit()):
+                    # \d stops at a non-decimal digit such as "²".
+                    text = source[pos:_decimal_end(source, stop)]
+                append(Token("number", text, line, col))
+            elif kind == "hex":
+                append(Token("number", text, line, col))
+            elif kind == "string" or kind == "char":
+                append(Token(kind, text, line, col))
+                newlines = text.count("\n")
+                if newlines:
+                    line += newlines
+                    line_start = pos + text.rindex("\n") + 1
+            elif kind == "open_comment":
+                # Reported where the comment runs out: the end of input.
+                rest = source[pos:]
+                newlines = rest.count("\n")
+                if newlines:
+                    line += newlines
+                    line_start = pos + rest.rindex("\n") + 1
+                raise LexError("unterminated block comment", line,
+                               end - line_start + 1)
+            elif kind == "open_string":
+                raise LexError("unterminated string literal", line, col)
+            elif kind == "open_char":
+                raise LexError("unterminated character literal", line, col)
             else:
-                return
+                raise LexError(f"unexpected character {text!r}", line, col)
+            pos += len(text)
+        tokens.append(Token("eof", "", line, pos - line_start + 1))
+        return tokens
 
-    def _next_token(self) -> Token:
-        self._skip_trivia()
-        if self.pos >= len(self.source):
-            return Token("eof", "", self.line, self.col)
-        line, col = self.line, self.col
-        ch = self._peek()
-        if ch.isalpha() or ch == "_":
-            return self._lex_ident(line, col)
-        if ch.isdigit():
-            return self._lex_number(line, col)
-        if ch == '"':
-            return self._lex_string(line, col)
-        if ch == "'":
-            return self._lex_char(line, col)
-        for op in _OPERATORS:
-            if self.source.startswith(op, self.pos):
-                self._advance(len(op))
-                return Token("op", op, line, col)
-        raise LexError(f"unexpected character {ch!r}", line, col)
 
-    def _lex_ident(self, line: int, col: int) -> Token:
-        start = self.pos
-        while self.pos < len(self.source) and (self._peek().isalnum() or self._peek() == "_"):
-            self._advance()
-        text = self.source[start:self.pos]
-        kind = "keyword" if text in KEYWORDS else "ident"
-        return Token(kind, text, line, col)
-
-    def _lex_number(self, line: int, col: int) -> Token:
-        start = self.pos
-        if self._peek() == "0" and self._peek(1) in ("x", "X"):
-            self._advance(2)
-            while self.pos < len(self.source) and self._peek() in "0123456789abcdefABCDEF":
-                self._advance()
-        else:
-            while self.pos < len(self.source) and self._peek().isdigit():
-                self._advance()
-        # Integer suffixes (u, l, ul, ull, ...)
-        while self.pos < len(self.source) and self._peek() in "uUlL":
-            self._advance()
-        text = self.source[start:self.pos]
-        return Token("number", text, line, col)
-
-    def _lex_string(self, line: int, col: int) -> Token:
-        start = self.pos
-        self._advance()  # opening quote
-        while self.pos < len(self.source) and self._peek() != '"':
-            if self._peek() == "\\":
-                self._advance()
-            self._advance()
-        if self.pos >= len(self.source):
-            raise LexError("unterminated string literal", line, col)
-        self._advance()  # closing quote
-        return Token("string", self.source[start:self.pos], line, col)
-
-    def _lex_char(self, line: int, col: int) -> Token:
-        start = self.pos
-        self._advance()  # opening quote
-        while self.pos < len(self.source) and self._peek() != "'":
-            if self._peek() == "\\":
-                self._advance()
-            self._advance()
-        if self.pos >= len(self.source):
-            raise LexError("unterminated character literal", line, col)
-        self._advance()
-        return Token("char", self.source[start:self.pos], line, col)
+def _decimal_end(source: str, pos: int) -> int:
+    """End of the decimal literal whose digits continue at *pos*: every
+    ``str.isdigit()`` character, then the integer suffix."""
+    end = len(source)
+    while pos < end and source[pos].isdigit():
+        pos += 1
+    while pos < end and source[pos] in "uUlL":
+        pos += 1
+    return pos
 
 
 def tokenize(source: str) -> List[Token]:

@@ -25,6 +25,24 @@ _QUALIFIER_KEYWORDS = {"const", "volatile", "static", "extern"}
 
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="}
 
+#: Binary operator -> precedence level, loosest (0) to tightest.
+_BINARY_LEVELS = {
+    op: level
+    for level, ops in enumerate([
+        ["||"],
+        ["&&"],
+        ["|"],
+        ["^"],
+        ["&"],
+        ["==", "!="],
+        ["<", ">", "<=", ">="],
+        ["<<", ">>"],
+        ["+", "-"],
+        ["*", "/", "%"],
+    ])
+    for op in ops
+}
+
 
 class Parser:
     def __init__(self, source: str) -> None:
@@ -35,8 +53,9 @@ class Parser:
     # -- token helpers -------------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        idx = min(self.index + offset, len(self.tokens) - 1)
-        return self.tokens[idx]
+        tokens = self.tokens
+        idx = self.index + offset
+        return tokens[idx] if idx < len(tokens) else tokens[-1]
 
     def _advance(self) -> Token:
         tok = self.tokens[self.index]
@@ -382,30 +401,24 @@ class Parser:
             return ast.Conditional(cond, then, otherwise, loc=self._loc(q))
         return cond
 
-    # Binary operator precedence, lowest first.
-    _PRECEDENCE: List[List[str]] = [
-        ["||"],
-        ["&&"],
-        ["|"],
-        ["^"],
-        ["&"],
-        ["==", "!="],
-        ["<", ">", "<=", ">="],
-        ["<<", ">>"],
-        ["+", "-"],
-        ["*", "/", "%"],
-    ]
+    def _parse_binary(self, min_level: int) -> ast.Expr:
+        """Precedence climbing over :data:`_BINARY_LEVELS`.
 
-    def _parse_binary(self, level: int) -> ast.Expr:
-        if level >= len(self._PRECEDENCE):
-            return self._parse_unary()
-        ops = self._PRECEDENCE[level]
-        lhs = self._parse_binary(level + 1)
-        while self._peek().kind == "op" and self._peek().text in ops:
-            tok = self._advance()
+        The right operand is parsed one level tighter, so operators of
+        equal level associate to the left; nodes are built in the same
+        order as a recursive descent with one function per level.
+        """
+        lhs = self._parse_unary()
+        while True:
+            tok = self.tokens[self.index]
+            if tok.kind != "op":
+                return lhs
+            level = _BINARY_LEVELS.get(tok.text)
+            if level is None or level < min_level:
+                return lhs
+            self.index += 1
             rhs = self._parse_binary(level + 1)
             lhs = ast.BinaryOp(tok.text, lhs, rhs, loc=self._loc(tok))
-        return lhs
 
     def _parse_unary(self) -> ast.Expr:
         tok = self._peek()

@@ -118,6 +118,35 @@ def test_expression_parentheses_override_precedence():
     assert isinstance(expr.lhs, ast.BinaryOp) and expr.lhs.op == "+"
 
 
+def _shape(expr):
+    if isinstance(expr, ast.BinaryOp):
+        return (expr.op, _shape(expr.lhs), _shape(expr.rhs))
+    return expr.name
+
+
+def test_binary_operators_of_equal_level_associate_left():
+    expr = parse_expression("a - b - c / d % e")
+    assert _shape(expr) == ("-", ("-", "a", "b"), ("%", ("/", "c", "d"), "e"))
+
+
+def test_binary_precedence_spans_every_level():
+    expr = parse_expression("a || b && c | d ^ e & f == g < h << i + j * k")
+    shape = ("*", "j", "k")
+    for op, name in [("+", "i"), ("<<", "h"), ("<", "g"), ("==", "f"),
+                     ("&", "e"), ("^", "d"), ("|", "c"), ("&&", "b"),
+                     ("||", "a")]:
+        shape = (op, name, shape)
+    assert _shape(expr) == shape
+
+
+def test_binary_nodes_are_built_operands_first_left_to_right():
+    expr = parse_expression("a * b + c * d")
+    order = [expr.lhs.lhs, expr.lhs.rhs, expr.lhs,
+             expr.rhs.lhs, expr.rhs.rhs, expr.rhs, expr]
+    ids = [node.node_id for node in order]
+    assert ids == sorted(ids)
+
+
 def test_assignment_is_right_associative():
     expr = parse_expression("a = b = 1")
     assert isinstance(expr, ast.Assignment)
