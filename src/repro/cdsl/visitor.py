@@ -8,14 +8,13 @@ Three tools are provided:
   ``visit_*`` methods, which is how optimizer passes and the UB-insertion
   mutator rewrite programs.
 
-There is also :func:`clone` for deep-copying a program before mutating it,
+There is also :func:`clone` for copying a program before mutating it,
 and :func:`find_nodes` / :func:`parent_map` helpers used by expression
 matching and shadow statement insertion.
 """
 
 from __future__ import annotations
 
-import copy
 from typing import Callable, Dict, Iterator, List, Optional, Type, TypeVar
 
 from repro.cdsl import ast_nodes as ast
@@ -52,27 +51,25 @@ def find_nodes(root: ast.Node, node_type: Type[N],
 
 
 def clone(node: N) -> N:
-    """Deep-copy a subtree so it can be mutated independently of the seed.
-
-    Node ids are preserved, which lets callers find "the same" node in the
-    clone (the UB generator relies on this to locate its mutation site).
-    """
-    return copy.deepcopy(node)
-
-
-def fast_clone(node: N) -> N:
-    """Structurally copy a subtree without ``copy.deepcopy`` overhead.
+    """Structurally copy a subtree.
 
     Node objects and the lists holding them are copied (ids preserved,
     aliasing respected via a memo); every other attribute value — source
     locations, types, resolved symbols, detail dicts — is *shared* with the
-    original, except plain dicts which get a shallow copy.  The result is
-    meant for the compilation pipeline, which re-runs semantic analysis on
-    the copy before anything consults symbols or types, so sharing the
-    stale annotations is safe.  Prefer :func:`clone` when the copy must be
-    fully independent (e.g. seed mutation).
+    original, except plain dicts which get a shallow copy.  Node ids are
+    preserved, which lets callers find "the same" node in the clone (the UB
+    generator relies on this to locate its mutation site).  Rewriting the
+    copy's nodes (operators, values, fields, child lists) never touches the
+    original.  The shared annotations describe the original, so a consumer
+    that consults symbols or types re-runs semantic analysis on the copy
+    first, as the compilation pipeline and the execution profiler do.
     """
     return _fast_clone(node, {})
+
+
+#: :func:`clone` under the name the compilation pipeline and the marker
+#: oracle import it by.
+fast_clone = clone
 
 
 def _fast_clone(node: ast.Node, memo: Dict[int, ast.Node]) -> ast.Node:
@@ -97,13 +94,13 @@ def _fast_clone(node: ast.Node, memo: Dict[int, ast.Node]) -> ast.Node:
 
 
 def clone_fresh(node: N) -> N:
-    """Deep-copy a subtree and give every copied node a new id.
+    """:func:`clone` a subtree and give every copied node a new id.
 
     Use this when duplicating an expression *within* one program (e.g. a
     safe-math wrapper reusing a divisor): node ids must stay unique inside a
     single translation unit.
     """
-    new = copy.deepcopy(node)
+    new = clone(node)
     for child in walk(new):
         child.node_id = next(ast._node_counter)
     return new

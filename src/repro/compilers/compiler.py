@@ -19,7 +19,7 @@ from repro.cdsl import ast_nodes as ast
 from repro.cdsl.parser import parse_program
 from repro.cdsl.printer import print_program
 from repro.cdsl.sema import analyze
-from repro.cdsl.visitor import clone, fast_clone
+from repro.cdsl.visitor import fast_clone
 from repro.compilers.binary import CompiledBinary
 from repro.compilers.cache import CompilationCache, source_fingerprint
 from repro.compilers.options import CompileOptions
@@ -203,7 +203,7 @@ class SimulatedCompiler:
         if isinstance(source, ast.TranslationUnit):
             # Compile a private copy so callers can reuse / re-compile the
             # same AST with other configurations.
-            unit = clone(source)
+            unit = fast_clone(source)
             return unit, print_program(source)
         try:
             unit = parse_program(source)

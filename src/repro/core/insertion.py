@@ -21,7 +21,7 @@ from repro.cdsl import ast_nodes as ast
 from repro.cdsl.parser import parse_program
 from repro.cdsl.printer import print_program
 from repro.cdsl.sema import analyze
-from repro.cdsl.visitor import fast_clone, insert_before, replace_node, walk
+from repro.cdsl.visitor import clone, insert_before, replace_node, walk
 from repro.core.synthesis import ShadowMutation
 from repro.core.ub_types import UBType, sanitizers_for
 from repro.utils.errors import GenerationError
@@ -50,7 +50,7 @@ class UBProgram:
 def apply_mutation(unit: ast.TranslationUnit, mutation: ShadowMutation,
                    seed_index: int = -1, validate: bool = True) -> UBProgram:
     """Apply *mutation* to a clone of *unit* and return the UB program."""
-    mutated = fast_clone(unit)
+    mutated = clone(unit)
     by_id: Dict[int, ast.Node] = {node.node_id: node for node in walk(mutated)}
 
     expr = by_id.get(mutation.match.expr.node_id)

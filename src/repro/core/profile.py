@@ -23,7 +23,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.cdsl import ast_nodes as ast
 from repro.cdsl.sema import analyze
-from repro.cdsl.visitor import fast_clone, walk
+from repro.cdsl.visitor import clone, walk
 from repro.core.matching import MatchedExpr
 from repro.utils.errors import ProfilingError
 from repro.vm.errors import ExecutionResult
@@ -103,7 +103,7 @@ class Profiler:
         instrumenting is linear in the program size plus the hook count.
         """
         matches = list(matches)
-        instrumented = fast_clone(unit)
+        instrumented = clone(unit)
         hooked_keys: Dict[str, List[str]] = {}
         by_id: Dict[int, ast.Node] = {}
         slots: Dict[int, _Slot] = {}
