@@ -9,8 +9,8 @@ types, and branch conditions for use-of-uninitialized-memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional
 
 from repro.cdsl import ast_nodes as ast
 from repro.cdsl import ctypes_ as ct
@@ -29,6 +29,9 @@ class MatchedExpr:
     #: role-specific sub-expressions used by profiling/synthesis, keyed by
     #: role name ("index", "pointer", "lhs", "rhs", ...).
     operands: dict
+    #: ``parent_map(function.body)``, built once per function and shared
+    #: by its matches (None where matching did not need one).
+    parents: Optional[Dict[int, ast.Node]] = field(default=None, repr=False)
 
     @property
     def key(self) -> str:
@@ -51,7 +54,8 @@ def get_matched_exprs(unit: ast.TranslationUnit, ub_type: UBType) -> List[Matche
                 parents = parent_map(fn.body)
             stmt = enclosing_statement(fn.body, node, parents)
             matches.append(MatchedExpr(ub_type=ub_type, expr=node, function=fn,
-                                       stmt=stmt, operands=operands))
+                                       stmt=stmt, operands=operands,
+                                       parents=parents))
         if ub_type == UBType.USE_OF_UNINIT_MEMORY:
             matches.extend(_match_conditions(fn))
     return matches

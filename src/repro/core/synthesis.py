@@ -11,11 +11,11 @@ instantiation column of Table 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.cdsl import ast_nodes as ast
 from repro.cdsl import ctypes_ as ct
-from repro.cdsl.visitor import walk
+from repro.cdsl.visitor import parent_map, walk
 from repro.core.matching import MatchedExpr
 from repro.core.profile import ExecutionProfile
 from repro.core.ub_types import UBType
@@ -171,15 +171,17 @@ def _synth_use_after_scope(match: MatchedExpr, profile: ExecutionProfile,
     if anchor_order is None:
         return None
 
-    blocks, parents = _blocks_and_parents(body)
+    parents = match.parents if match.parents is not None else parent_map(body)
     enclosing = set()  # ids of match.stmt and every node above it
-    node = match.stmt
+    node: Optional[ast.Node] = match.stmt
     while node is not None:
         enclosing.add(id(node))
-        node = parents.get(id(node))
+        node = parents.get(node.node_id)
     candidates = []
-    for block in blocks:
-        if block is body or id(block) in enclosing:
+    for block in walk(body):
+        if not isinstance(block, ast.CompoundStmt) or block is body:
+            continue
+        if id(block) in enclosing:
             continue  # the block encloses the dereference: not out of scope
         for stmt in block.stmts:
             if not isinstance(stmt, ast.DeclStmt):
@@ -217,20 +219,6 @@ def _synth_use_after_scope(match: MatchedExpr, profile: ExecutionProfile,
         description=(f"{pointer.name} = &{aux}[0] "
                      f"({target_type} [{length}] in the scope of {decl.name})"),
         append_to_block=(block.node_id, [shadow_decl, assign]))
-
-
-def _blocks_and_parents(body: ast.CompoundStmt
-                        ) -> Tuple[List[ast.CompoundStmt], Dict[int, ast.Node]]:
-    """The compound statements under *body* in preorder, and each node's
-    parent keyed by ``id`` — both from one walk."""
-    blocks: List[ast.CompoundStmt] = []
-    parents: Dict[int, ast.Node] = {}
-    for node in walk(body):
-        if isinstance(node, ast.CompoundStmt):
-            blocks.append(node)
-        for child in node.children():
-            parents[id(child)] = node
-    return blocks, parents
 
 
 def _synth_null_deref(match: MatchedExpr, profile: ExecutionProfile,
