@@ -44,15 +44,14 @@ class Token:
         return f"{self.kind}({self.text!r})@{self.line}:{self.col}"
 
 
-# One alternative per token class, tried in order at each position.  Comment
-# forms come before the operators so "/" starts a comment where one fits;
-# every other class is told apart by its first character.  ``\w`` is
-# exactly ``str.isalnum()`` plus "_"; an identifier's first character must
-# also be a letter (see Lexer.tokenize for the non-letter numerics ``\w``
-# admits).
+# One alternative per token class, tried in order at each position.  Trivia
+# (whitespace, comments, "#" lines) comes before the operators so "/"
+# starts a comment where one fits; every other class is told apart by its
+# first character.  ``\w`` is exactly ``str.isalnum()`` plus "_"; an
+# identifier's first character must also be a letter (see Lexer.tokenize
+# for the non-letter numerics ``\w`` admits).
 _TOKEN_RE = re.compile(r"""
-    (?P<space>[ \t\r\n]+)
-  | (?P<comment>//[^\n]*|\#[^\n]*|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)
+    (?P<skip>[ \t\r\n]+|//[^\n]*|\#[^\n]*|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)
   | (?P<open_comment>/\*)
   | (?P<ident>[^\W\d]\w*)
   | (?P<hex>0[xX][0-9a-fA-F]*[uUlL]*)
@@ -100,7 +99,7 @@ class Lexer:
                                  text, line, col))
             elif kind == "op":
                 append(Token("op", text, line, col))
-            elif kind == "space" or kind == "comment":
+            elif kind == "skip":
                 newlines = text.count("\n")
                 if newlines:
                     line += newlines
