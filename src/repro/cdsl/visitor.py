@@ -53,43 +53,41 @@ def find_nodes(root: ast.Node, node_type: Type[N],
 def clone(node: N) -> N:
     """Structurally copy a subtree.
 
-    Node objects and the lists holding them are copied (ids preserved,
-    aliasing respected via a memo); every other attribute value — source
-    locations, types, resolved symbols, detail dicts — is *shared* with the
-    original, except plain dicts which get a shallow copy.  Node ids are
-    preserved, which lets callers find "the same" node in the clone (the UB
-    generator relies on this to locate its mutation site).  Rewriting the
-    copy's nodes (operators, values, fields, child lists) never touches the
-    original.  The shared annotations describe the original, so a consumer
-    that consults symbols or types re-runs semantic analysis on the copy
-    first, as the compilation pipeline and the execution profiler do.
+    Child nodes (the attributes a class names in ``_fields``) and the lists
+    holding them are copied, ids preserved and aliasing respected via a
+    memo; every other attribute value — source locations, types, resolved
+    symbols, sanitizer check details — is *shared* with the original.  Node
+    ids are preserved, which lets callers find "the same" node in the clone
+    (the UB generator relies on this to locate its mutation site).
+    Rewriting the copy's nodes (operators, values, fields, child lists)
+    never touches the original.  The shared annotations describe the
+    original, so a consumer that consults symbols or types re-runs semantic
+    analysis on the copy first, as the compilation pipeline and the
+    execution profiler do.
     """
-    return _fast_clone(node, {})
+    return _clone(node, {})
 
 
 #: :func:`clone` under the name the compilation pipeline and the marker
-#: oracle import it by.
+#: oracle import it by; layer tracers wrap it there as the copy layer.
 fast_clone = clone
 
 
-def _fast_clone(node: ast.Node, memo: Dict[int, ast.Node]) -> ast.Node:
+def _clone(node: ast.Node, memo: Dict[int, ast.Node]) -> ast.Node:
     existing = memo.get(id(node))
     if existing is not None:
         return existing
     new = object.__new__(type(node))
     memo[id(node)] = new
-    target = new.__dict__
-    for key, value in node.__dict__.items():
-        if isinstance(value, ast.Node):
-            target[key] = _fast_clone(value, memo)
-        elif type(value) is list:
-            target[key] = [_fast_clone(item, memo)
-                           if isinstance(item, ast.Node) else item
-                           for item in value]
-        elif type(value) is dict:
-            target[key] = dict(value)
-        else:
-            target[key] = value
+    attrs = node.__dict__.copy()
+    new.__dict__ = attrs
+    for key in node._fields:
+        value = attrs.get(key)
+        if type(value) is list:
+            attrs[key] = [_clone(item, memo) if isinstance(item, ast.Node)
+                          else item for item in value]
+        elif isinstance(value, ast.Node):
+            attrs[key] = _clone(value, memo)
     return new
 
 
