@@ -42,10 +42,17 @@ class ExecutionProfile:
     # -- the paper's queries -----------------------------------------------------
 
     def q_liv(self, match: MatchedExpr) -> bool:
-        """True if the matched expression was executed on the profiled input."""
-        for key in self.hooked_keys.get(match.key, []):
-            if self.collector.was_executed(key):
-                return True
+        """True if the matched expression was executed on the profiled input.
+
+        A hooked match is live only if one of its hooks fired: its
+        statement may run while the expression itself does not (the
+        untaken arm of ``?:``, the right operand of a short-circuited
+        ``&&``).  Only a match without hooks falls back to whether its
+        enclosing statement ran.
+        """
+        keys = self.hooked_keys.get(match.key)
+        if keys:
+            return any(self.collector.was_executed(key) for key in keys)
         if match.stmt is not None and match.stmt.loc.is_known:
             return match.stmt.loc.site() in self.result.executed_sites
         return False

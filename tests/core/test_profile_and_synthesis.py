@@ -189,3 +189,59 @@ def test_ub_program_metadata(profiled):
     assert program.ub_type == UBType.SHIFT_OVERFLOW
     assert program.target_sanitizers == ("ubsan",)
     assert program.parse() is not None
+
+
+# -- liveness of expressions whose statement runs ----------------------------
+
+UNEVALUATED_SOURCE = """
+int g = 7;
+int main() {
+  int *p = &g;
+  int c = 0;
+  int x = c ? *p : 2;
+  int y = c && *p;
+  int z = *p;
+  return x + y + z;
+}
+"""
+
+
+@pytest.fixture(scope="module")
+def unevaluated():
+    unit = parse_program(UNEVALUATED_SOURCE)
+    analyze(unit)
+    matches = get_matched_exprs(unit, UBType.NULL_POINTER_DEREF)
+    return unit, matches, Profiler().profile(unit, matches)
+
+
+def test_q_liv_is_false_for_unevaluated_expression_in_executed_statement(unevaluated):
+    _unit, matches, profile = unevaluated
+    lines = {match.expr.loc.line: match for match in matches}
+    assert sorted(lines) == [6, 7, 8]
+    for line in (6, 7):  # the untaken "?:" arm, the short-circuited "&&"
+        match = lines[line]
+        assert profile.q_scp_executed(match.stmt)
+        assert not profile.q_liv(match)
+        assert synthesize(match, profile, RandomSource(1),
+                          function_body=match.function.body) is None
+    assert profile.q_liv(lines[8])
+
+
+def test_generator_skips_unevaluated_matches(unevaluated):
+    unit, matches, _profile = unevaluated
+    from repro.core.ubgen import UBGenerator
+    programs, stats = UBGenerator(seed=1).generate_with_stats(
+        unit, [UBType.NULL_POINTER_DEREF])
+    assert stats.live_matches[UBType.NULL_POINTER_DEREF] == 1
+    assert [p.metadata["match_node"] for p in programs[UBType.NULL_POINTER_DEREF]] \
+        == [m.expr.node_id for m in matches if m.expr.loc.line == 8]
+
+
+def test_q_liv_falls_back_to_the_statement_without_hooks(unevaluated):
+    _unit, matches, profile = unevaluated
+    from dataclasses import replace
+    untaken = min(matches, key=lambda m: m.expr.loc.line)
+    unhooked = replace(untaken, expr=ast.Deref(untaken.expr.pointer,
+                                                loc=untaken.expr.loc),
+                       operands={})
+    assert profile.q_liv(unhooked)  # its statement ran
